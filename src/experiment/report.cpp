@@ -46,16 +46,6 @@ struct CheckDoc {
     double packets = 0;
   };
   std::vector<Policy> policies;
-  // Optional clustered-tie microbench section (bench-baseline docs): per-op
-  // latencies of the two scheduler backends under heavy same-timestamp ties
-  // plus the ratio gate the calendar must stay within.
-  struct ClusteredTie {
-    bool present = false;
-    double heap_ns = 0;
-    double calendar_ns = 0;
-    double max_ratio = 0;  // gate: calendar_ns / heap_ns must stay <= this
-  };
-  ClusteredTie clustered_tie;
   // Optional solution-database lookup microbench section (bench-baseline
   // docs): linear-scan vs prefix-index per-lookup latency over one large
   // bucket, plus the minimum speedup the index must keep delivering.
@@ -108,12 +98,6 @@ bool flatten(const JsonValue& doc, CheckDoc& out) {
     out.events = doc.number_at("end_to_end.events");
     out.events_per_sec = doc.number_at("end_to_end.after.events_per_sec");
     out.has_rate = out.events_per_sec > 0;
-    if (const JsonValue* tie = doc.find("clustered_tie")) {
-      out.clustered_tie.present = true;
-      out.clustered_tie.heap_ns = tie->number_at("heap_ns");
-      out.clustered_tie.calendar_ns = tie->number_at("calendar_ns");
-      out.clustered_tie.max_ratio = tie->number_at("max_calendar_vs_heap");
-    }
     if (const JsonValue* sdb = doc.find("sdb_lookup")) {
       out.sdb_lookup.present = true;
       out.sdb_lookup.linear_ns = sdb->number_at("linear_ns");
@@ -740,34 +724,6 @@ CheckResult check_documents(const JsonValue& older, const JsonValue& newer,
     } else {
       add(Finding::Level::kInfo, msg);
     }
-  }
-
-  // Clustered-tie scheduler gate (bench-baseline documents): the calendar
-  // backend must stay within the baseline's ratio of the heap on tie-heavy
-  // sweeps — the regime its pre-tie-chain implementation degraded in.
-  if (b.clustered_tie.present && b.clustered_tie.heap_ns > 0) {
-    const double gate = a.clustered_tie.present && a.clustered_tie.max_ratio > 0
-                            ? a.clustered_tie.max_ratio
-                            : 0;
-    const double ratio = b.clustered_tie.calendar_ns / b.clustered_tie.heap_ns;
-    std::ostringstream msg;
-    msg << "clustered-tie calendar/heap ratio "
-        << obs::json_number(ratio) << " (heap "
-        << obs::json_number(b.clustered_tie.heap_ns) << " ns, calendar "
-        << obs::json_number(b.clustered_tie.calendar_ns) << " ns)";
-    if (gate <= 0) {
-      add(Finding::Level::kInfo, msg.str() + "; no baseline gate");
-    } else if (ratio > gate) {
-      add(perf_level, "clustered-tie ratio beyond " + obs::json_number(gate) +
-                          "x gate: " + msg.str());
-    } else {
-      add(Finding::Level::kInfo,
-          msg.str() + " within " + obs::json_number(gate) + "x gate");
-    }
-  } else if (a.clustered_tie.present && !b.clustered_tie.present &&
-             b.schema == "prdrb-bench-baseline-v1") {
-    add(Finding::Level::kWarning,
-        "clustered_tie section missing from new document");
   }
 
   // Solution-database index gate (bench-baseline documents): the prefix

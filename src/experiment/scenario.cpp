@@ -427,20 +427,9 @@ RunProbes attach_sinks(Simulator& sim, Network& net, PolicyBundle& b,
     reg.gauge("sim.events", [&sim] {
       return static_cast<double>(sim.events_executed());
     });
-    // Scheduler internals: how the chosen backend is coping with the
-    // workload's timestamp structure. For the heap everything but the
-    // tombstone count reads 0, which is itself the signal that the counters
-    // describe the calendar's machinery.
+    // Cancelled-but-unpurged heap entries (FR-DRB watchdogs cancelled on
+    // ACK linger here until they surface at the heap top).
     const EventQueue* q = &sim.queue();
-    reg.gauge("sim.sched.rebuilds", [q] {
-      return static_cast<double>(q->sched_rebuilds());
-    });
-    reg.gauge("sim.sched.tie_chain_pops", [q] {
-      return static_cast<double>(q->sched_tie_chain_pops());
-    });
-    reg.gauge("sim.sched.direct_search_fallbacks", [q] {
-      return static_cast<double>(q->sched_direct_search_fallbacks());
-    });
     reg.gauge("sim.sched.tombstones", [q] {
       return static_cast<double>(q->pending_cancellations());
     });
@@ -543,8 +532,7 @@ std::size_t expected_pending_events(const Topology& topo,
 ScenarioResult run_scenario(const std::string& policy_name,
                             const ScenarioSpec& sc) {
   auto topo = make_topology(sc.topology).value_or_throw();
-  Simulator sim(sc.sched.value_or(default_scheduler()),
-                expected_pending_events(*topo, sc));
+  Simulator sim;
   auto bundle = build_policy(policy_name, sc.drb, sc.prdrb, 7);
   Network net(sim, *topo, sc.net, *bundle.policy);
   MetricsCollector metrics(topo->num_nodes(), topo->num_routers(),

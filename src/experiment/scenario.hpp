@@ -8,8 +8,8 @@
 //
 // One scenario type serves both workload families: ScenarioSpec carries the
 // shared knobs (topology, seed, bin width, network/DRB/PR-DRB configs,
-// watch list, observability sinks, scheduler backend) and a
-// std::variant<SyntheticWorkload, TraceWorkload> for the part that differs.
+// watch list, observability sinks) and a std::variant<SyntheticWorkload,
+// TraceWorkload> for the part that differs.
 // run_scenario() is the single entry point; run_synthetic()/run_trace()
 // remain as thin forwarding wrappers.
 #pragma once
@@ -25,7 +25,7 @@
 #include "metrics/collector.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/simulator.hpp"
 #include "trace/generators.hpp"
 #include "traffic/bursty.hpp"
 #include "traffic/pattern.hpp"
@@ -169,17 +169,14 @@ struct ScenarioSpec {
   NetConfig net;
   DrbConfig drb = default_drb_config();
   PrDrbConfig prdrb;  // notification mode is overridden by "@router" names
-  /// Scheduler backend; unset = the process default (PRDRB_SCHED / --sched).
-  /// kAuto (set here or as the default) resolves per scenario via
-  /// expected_pending_events().
-  std::optional<SchedulerKind> sched;
+  std::optional<SchedulerKind> sched;  ///< kept only for benchmark/workload.cpp
   std::vector<RouterId> watch;  // routers whose series to record
   ObsSinks sinks;  // optional tracer / counter-registry attachments
   /// Solution-database warm start / persistence (predictive policies only;
   /// ignored by policies without a PredictiveEngine). `sdb_in` is imported
   /// into the engine's database before the run ("prdrb-sdb-v1" or legacy
   /// text); `sdb_out` receives the deterministic export after the run —
-  /// byte-identical across repeats, --jobs values and scheduler backends.
+  /// byte-identical across repeats and --jobs values.
   std::string sdb_in;
   std::string sdb_out;
   std::variant<SyntheticWorkload, TraceWorkload> workload;
@@ -208,20 +205,18 @@ struct ScenarioSpec {
   }
 };
 
-/// Deterministic estimate of the scenario's peak pending-event count, the
-/// input to SchedulerKind::kAuto resolution (resolve_scheduler() compares
-/// it against kAutoPendingThreshold). The model: every node and router
-/// keeps a few events in flight (NIC injection ticks, per-hop arrivals,
-/// FR-DRB watchdogs), and synthetic injection scales that per-entity count
-/// with the offered load — rate_bps over a ~50 us pipeline window, clamped
-/// to [1, 64] so degenerate rates cannot dominate the topology term.
+/// Kept only for benchmark/workload.cpp (the Simulator ignores it).
+/// Deterministic estimate of the scenario's peak pending-event count: every
+/// node and router keeps a few events in flight (NIC injection ticks,
+/// per-hop arrivals, FR-DRB watchdogs), and synthetic injection scales that
+/// per-entity count with the offered load — rate_bps over a ~50 us pipeline
+/// window, clamped to [1, 64] so degenerate rates cannot dominate the
+/// topology term.
 std::size_t expected_pending_events(const Topology& topo,
                                     const ScenarioSpec& spec);
 
 /// Run one scenario under one policy — the single execution entry point;
-/// dispatches on the workload alternative. A spec whose scheduler resolves
-/// to kAuto (explicitly or via the process default) picks heap vs calendar
-/// from expected_pending_events() — results are byte-identical either way.
+/// dispatches on the workload alternative.
 ScenarioResult run_scenario(const std::string& policy_name,
                             const ScenarioSpec& spec);
 

@@ -18,7 +18,7 @@
 //   * snapshots are emitted as newline-delimited JSON ("prdrb-stream-v1",
 //     one object per line) on the run's single CounterSampler chain, so
 //     traces, counters and event counts are untouched and the stream is
-//     byte-identical across --jobs and scheduler backends.
+//     byte-identical across --jobs values.
 //
 // On top of the windows sits the congestion-onset detector + prediction
 // LEAD-TIME analyzer — the paper's central claim, made measurable: PR-DRB

@@ -1,33 +1,23 @@
-// Pending-event set for the discrete-event kernel.
+// Pending-event set for the discrete-event kernel: a binary min-heap of
+// 16-byte (time, key) entries over a recycled callback-slot array.
 //
-// Two interchangeable scheduler backends share one slot array, one EventId
-// contract and one dispatch order (time, then scheduling sequence — which
-// keeps every run bit-for-bit reproducible for a given seed, the property
-// the evaluation methodology (thesis §4.3) relies on when averaging
-// repeated runs):
-//
-//  * kBinaryHeap — a binary heap of 16-byte (time, key) entries. O(log n)
-//    schedule/pop, lazily tombstoned cancellation purged at the top.
-//  * kCalendar — a calendar queue (sim/calendar_queue.hpp): O(1) amortized
-//    operations independent of depth, eager cancellation, built for the
-//    >100k-pending-event regime where the heap's cache misses dominate.
+// Dispatch order is (time, then scheduling sequence), which keeps every run
+// bit-for-bit reproducible for a given seed — the property the evaluation
+// methodology (thesis §4.3) relies on when averaging repeated runs.
 //
 // Hot-path design (DESIGN.md "Pooled event kernel"):
 //  * Actions are InlineFunction callbacks — captures up to kActionCapacity
 //    bytes live inside the slot, so schedule/pop never touch the heap for
 //    the per-hop lambdas that dominate a simulation.
-//  * Callbacks live in a recycled slot array; backend entries reference
-//    slots by (index, generation). A cancelled or fired slot bumps its
+//  * Callbacks live in a recycled slot array; heap entries reference slots
+//    by (index, generation). A cancelled or fired slot bumps its
 //    generation, which invalidates every outstanding EventId for it —
 //    cancellation needs no hash lookup, just one array access and a
 //    generation compare. (FR-DRB arms a watchdog per in-flight message and
 //    cancels it on ACK, so cancel must be cheap.)
-//  * Heap cancellation is lazy (tombstones): stale entries are purged when
-//    they surface at the top, maintaining the invariant "a non-empty heap
-//    has a live top" — empty() and next_time() are truly const queries.
-//    Calendar cancellation is eager (the slot stores the entry's stable
-//    NodeRef, an O(1) unlink from its tie chain), so the calendar never
-//    holds stale entries at all.
+//  * Cancellation is lazy (tombstones): stale entries are purged when they
+//    surface at the top, maintaining the invariant "a non-empty heap has a
+//    live top" — empty() and next_time() are truly const queries.
 //  * Batched same-time dispatch: begin_batch()/next_batch_action() drain
 //    every event sharing the earliest timestamp into a reusable scratch
 //    buffer in key order, eliminating the per-event top-purge/sift in the
@@ -37,11 +27,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
 #include "util/inline_function.hpp"
 #include "util/types.hpp"
 
@@ -57,76 +44,33 @@ using EventId = std::uint64_t;
 /// larger captures transparently spill to one heap allocation.
 inline constexpr std::size_t kActionCapacity = 48;
 
-/// Scheduler backend selection. Both concrete backends produce identical
-/// event counts and byte-identical ScenarioResults
-/// (tests/scheduler_test.cpp fuzzes the equivalence), so kAuto — resolved
-/// to one of them by expected pending-event scale before a queue is built —
-/// can never change results, only speed.
-enum class SchedulerKind : std::uint8_t {
-  kBinaryHeap,  ///< binary heap: O(log n), the long-standing default
-  kCalendar,    ///< calendar queue: O(1) amortized, deep-queue regime
-  kAuto,        ///< pick heap vs calendar from expected pending-event scale
+/// One pending event: absolute time plus the EventId key that locates (and
+/// version-checks) the callback slot. Ties on `time` break on `key`, i.e.
+/// scheduling order.
+struct EventEntry {
+  SimTime time;
+  std::uint64_t key;
 };
 
-/// Pending-event scale at which kAuto switches from the heap to the
-/// calendar. Below ~16k the heap's compact flat array wins outright; past
-/// it the calendar's depth-independent cost catches up and then pulls
-/// ahead as the heap's log-depth sift deepens (BENCH_kernel_baseline.json
-/// hold rows: parity by ~131k, calendar ahead at 262k — and far ahead
-/// whenever timestamps cluster, which deep interconnect traces do).
-inline constexpr std::size_t kAutoPendingThreshold = 16384;
-
-/// Resolve kAuto against an expected peak pending-event count (>= threshold
-/// picks the calendar); concrete kinds pass through unchanged. EventQueue
-/// itself is scenario-blind, so callers with workload knowledge (the
-/// experiment harness) compute the estimate and resolve before construction
-/// — see expected_pending_events() in experiment/scenario.hpp.
-SchedulerKind resolve_scheduler(SchedulerKind kind,
-                                std::size_t expected_pending);
-
-/// Canonical name ("heap" / "calendar" / "auto") for manifests and flags.
-std::string_view scheduler_name(SchedulerKind kind);
-
-/// Parse a backend name ("heap" / "binary-heap" / "calendar" / "auto");
-/// std::nullopt for anything else.
-std::optional<SchedulerKind> parse_scheduler_name(std::string_view name);
-
-/// Process-wide default backend used by Simulator's default constructor:
-/// the last set_default_scheduler() value, else the PRDRB_SCHED environment
-/// variable ("heap" / "calendar" / "auto"; unknown values warn once on
-/// stderr), else the binary heap.
-SchedulerKind default_scheduler();
-
-/// Override default_scheduler() for this process.
-void set_default_scheduler(SchedulerKind kind);
+inline bool event_entry_less(const EventEntry& a, const EventEntry& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.key < b.key;
+}
 
 class EventQueue {
  public:
   using Action = InlineFunction<kActionCapacity>;
 
-  /// A queue is pinned to one backend for its lifetime. The default stays
-  /// the binary heap so low-level EventQueue tests/benches are
-  /// backend-explicit; Simulator's default constructor is what consults
-  /// default_scheduler(). kAuto resolves here with no pending-scale
-  /// knowledge, i.e. to the heap — pass a resolved kind (see
-  /// resolve_scheduler) when an estimate exists.
-  explicit EventQueue(SchedulerKind kind = SchedulerKind::kBinaryHeap)
-      : kind_(resolve_scheduler(kind, 0)) {}
-
-  SchedulerKind kind() const { return kind_; }
-
   /// Schedule `action` at absolute time `when`. Returns a cancellation id.
   /// `when` must not be NaN (it would silently corrupt the heap ordering
-  /// invariant and collapse the calendar's epoch mapping to day zero);
-  /// throws std::invalid_argument.
+  /// invariant); throws std::invalid_argument.
   EventId schedule(SimTime when, Action action);
 
   /// Cancel a pending event. Cancelling an id that already fired, was
   /// already cancelled, or was never issued is a true no-op (the slot
-  /// generation no longer matches). Heap backend: lazy tombstone, bounded
-  /// by size(). Calendar backend: eager removal from the home bucket.
-  /// Entries already drained into the current dispatch batch are skipped at
-  /// execution time in either backend.
+  /// generation no longer matches). The heap entry stays behind as a lazy
+  /// tombstone, bounded by size(); entries already drained into the current
+  /// dispatch batch are skipped at execution time.
   void cancel(EventId id);
 
   /// True when no live (non-cancelled) events remain, including the
@@ -135,37 +79,14 @@ class EventQueue {
 
   /// Pending entries, live + tombstoned + undispatched batch remainder.
   std::size_t size() const {
-    return backend_size() + (batch_.size() - batch_pos_);
+    return heap_.size() + (batch_.size() - batch_pos_);
   }
 
   /// Live (non-cancelled) pending events.
   std::size_t live() const { return size() - tombstones_; }
 
   /// Number of cancelled-but-not-yet-purged entries (bounded by size()).
-  /// Always 0 for the calendar backend outside batch dispatch.
   std::size_t pending_cancellations() const { return tombstones_; }
-
-  // --- scheduler internals (exported as the sim.sched.* gauges) ---
-
-  /// Calendar bucket-array rebuilds (growth or sparse recalibration);
-  /// 0 for the heap backend.
-  std::uint64_t sched_rebuilds() const {
-    return kind_ == SchedulerKind::kCalendar ? calendar_.resizes() : 0;
-  }
-
-  /// Entries the calendar served in O(1) from a same-timestamp tie chain;
-  /// 0 for the heap backend.
-  std::uint64_t sched_tie_chain_pops() const {
-    return kind_ == SchedulerKind::kCalendar ? calendar_.tie_chain_pops() : 0;
-  }
-
-  /// Calendar year-window scans that fell back to a direct search; 0 for
-  /// the heap backend.
-  std::uint64_t sched_direct_search_fallbacks() const {
-    return kind_ == SchedulerKind::kCalendar
-               ? calendar_.direct_search_fallbacks()
-               : 0;
-  }
 
   /// Time of the earliest live event; kTimeInfinity when empty. During
   /// batch dispatch the undispatched remainder reports the batch time.
@@ -185,7 +106,7 @@ class EventQueue {
   //   EventQueue::Action a;
   //   while (q.next_batch_action(a)) a();     // key-ordered, skip stale
   //
-  // Events scheduled at time t *during* the batch land in the backend and
+  // Events scheduled at time t *during* the batch land in the heap and
   // form the next batch at the same time — their sequence numbers are
   // strictly larger than every drained entry's, so the overall execution
   // order is identical to per-event pop().
@@ -209,8 +130,8 @@ class EventQueue {
   static constexpr int kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
 
-  /// Min-heap comparator over the shared 16-byte entries: equal times
-  /// tie-break on the key's high-bits sequence, i.e. FIFO scheduling order.
+  /// Min-heap comparator over the 16-byte entries: equal times tie-break on
+  /// the key's high-bits sequence, i.e. FIFO scheduling order.
   struct EntryGreater {
     bool operator()(const EventEntry& a, const EventEntry& b) const {
       return event_entry_less(b, a);
@@ -218,24 +139,13 @@ class EventQueue {
   };
 
   /// One recyclable callback cell. `key` stamps the occupant's EventId
-  /// (0 = vacant); a backend entry or cancellation handle is stale exactly
+  /// (0 = vacant); a heap entry or cancellation handle is stale exactly
   /// when its key no longer matches — one load and one compare, no hash
-  /// lookup. `node` is the calendar entry's NodeRef (kNoNode when the entry
-  /// is its tie group's handle-less inline minimum), making eager cancel an
-  /// O(1) chain unlink; `when` is the scheduled time, the (time, key)
-  /// fallback for cancelling inline entries — including ones whose NodeRef
-  /// went stale when a chain promotion moved them into the inline slot.
+  /// lookup.
   struct Slot {
     Action action;
     std::uint64_t key = 0;
-    SimTime when = 0;
-    CalendarIndex::NodeRef node = CalendarIndex::kNoNode;
   };
-
-  std::size_t backend_size() const {
-    return kind_ == SchedulerKind::kBinaryHeap ? heap_.size()
-                                               : calendar_.size();
-  }
 
   /// Retire a slot: invalidate outstanding ids and recycle the cell.
   void retire(std::uint32_t slot);
@@ -246,9 +156,7 @@ class EventQueue {
   /// Pop the heap's top entry (std::pop_heap), live or stale.
   void heap_remove_top();
 
-  SchedulerKind kind_;
-  std::vector<EventEntry> heap_;   // kBinaryHeap backend
-  CalendarIndex calendar_;         // kCalendar backend
+  std::vector<EventEntry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t tombstones_ = 0;

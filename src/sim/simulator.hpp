@@ -17,23 +17,20 @@
 
 namespace prdrb {
 
+/// Kept only for benchmark/workload.cpp: the event queue has one backend.
+enum class SchedulerKind : std::uint8_t { kBinaryHeap };
+
+/// Kept only for benchmark/workload.cpp.
+constexpr SchedulerKind default_scheduler() {
+  return SchedulerKind::kBinaryHeap;
+}
+
 class Simulator {
  public:
-  /// Default-constructed simulators use the process default backend
-  /// (set_default_scheduler() / PRDRB_SCHED / binary heap).
-  Simulator() : Simulator(default_scheduler()) {}
+  Simulator() = default;
 
-  /// `expected_pending` only matters when `kind` is kAuto: it is the
-  /// caller's estimate of the peak pending-event count (the experiment
-  /// harness computes it from topology size x injection,
-  /// expected_pending_events()), which resolve_scheduler() compares against
-  /// kAutoPendingThreshold. Concrete kinds ignore it.
-  explicit Simulator(SchedulerKind kind, std::size_t expected_pending = 0)
-      : queue_(resolve_scheduler(kind, expected_pending)) {}
-
-  /// The concrete scheduler backend this simulator was built with (kAuto
-  /// has been resolved; this is never kAuto).
-  SchedulerKind scheduler() const { return queue_.kind(); }
+  /// Kept only for benchmark/workload.cpp; ignores both arguments.
+  explicit Simulator(SchedulerKind, std::size_t = 0) {}
 
   SimTime now() const { return now_; }
 

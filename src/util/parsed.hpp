@@ -1,8 +1,8 @@
-// Typed parse results for name-driven factories (policies, topologies,
-// scheduler backends). Instead of aborting deep inside a run with a bare
-// std::invalid_argument, a factory returns Parsed<T>: either the value or
-// a ParseError carrying the offending input, what kind of name it was, and
-// the nearest known name as a suggestion — which CLIs surface as
+// Typed parse results for name-driven factories (policies, topologies).
+// Instead of aborting deep inside a run with a bare std::invalid_argument,
+// a factory returns Parsed<T>: either the value or a ParseError carrying
+// the offending input, what kind of name it was, and the nearest known
+// name as a suggestion — which CLIs surface as
 // "error: unknown policy 'ospf' (did you mean 'drb'?)" with exit code 2.
 #pragma once
 

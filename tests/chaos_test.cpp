@@ -4,6 +4,8 @@
 // buffer empty when it drains.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/pr_drb.hpp"
 #include "experiment/scenario.hpp"
 #include "metrics/collector.hpp"
@@ -19,6 +21,14 @@ struct ChaosCase {
   std::uint64_t seed;
   int messages;
 };
+
+// gtest prints a parameter without a printer as its raw bytes, pointers
+// included, and the discovered test IDs embed that text; print the fields so
+// each case keeps one ID from build to build.
+void PrintTo(const ChaosCase& c, std::ostream* os) {
+  *os << c.topology << ' ' << c.policy << " seed=" << c.seed
+      << " messages=" << c.messages;
+}
 
 class ChaosProperty : public ::testing::TestWithParam<ChaosCase> {};
 

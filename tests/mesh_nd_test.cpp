@@ -1,6 +1,9 @@
 // Tests for the N-dimensional mesh/torus and for phase extraction.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <vector>
+
 #include "experiment/scenario.hpp"
 #include "net/mesh_nd.hpp"
 #include "routing/oblivious.hpp"
@@ -28,6 +31,15 @@ struct NdCase {
   std::vector<int> dims;
   bool wrap;
 };
+
+// Printed as e.g. "torus 3x3x3" rather than raw bytes (the vector's heap
+// pointer), so each case keeps one test ID from build to build.
+void PrintTo(const NdCase& c, std::ostream* os) {
+  *os << (c.wrap ? "torus " : "mesh ");
+  for (std::size_t i = 0; i < c.dims.size(); ++i) {
+    *os << (i ? "x" : "") << c.dims[i];
+  }
+}
 
 class MeshNdProperty : public ::testing::TestWithParam<NdCase> {};
 

@@ -358,8 +358,7 @@ TEST(Counters, ScenarioRunPopulatesRegistry) {
   for (const char* name :
        {"net.link.packets", "net.link.bytes", "net.ack.bytes",
         "net.header.overhead_bytes", "net.credit.stalls", "sim.events",
-        "sim.sched.rebuilds", "sim.sched.tie_chain_pops",
-        "sim.sched.direct_search_fallbacks", "sim.sched.tombstones",
+        "sim.sched.tombstones",
         "routing.expansions", "routing.sdb.installs", "routing.sdb.lookups",
         "routing.sdb.hits", "routing.sdb.empty_probes"}) {
     EXPECT_NE(reg.series(name), nullptr) << name;

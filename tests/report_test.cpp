@@ -4,7 +4,8 @@
 //   - directory collection is deterministic and skips non-manifest JSON
 //   - markdown / JSON report rendering
 //   - check_documents verdicts: event drift always fails, perf moves obey
-//     thresholds and --perf-warn-only, both accepted schemas work
+//     thresholds and --perf-warn-only, both accepted schemas work, the
+//     sdb_lookup micro gate holds its baseline speedup
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -188,28 +189,28 @@ TEST(Report, BenchBaselineSchemaIsAccepted) {
                   .has_regression());
 }
 
-TEST(Report, ClusteredTieGateComparesRatioAgainstBaseline) {
+TEST(Report, SdbLookupGateComparesSpeedupAgainstBaseline) {
   // Baseline document carries the gate; measurement documents carry fresh
-  // per-op numbers. The check recomputes calendar/heap and compares it
-  // against the OLD document's max_calendar_vs_heap.
-  const auto doc = [](double heap_ns, double calendar_ns, double gate) {
+  // per-lookup numbers. The check recomputes linear/indexed and compares it
+  // against the OLD document's min_speedup.
+  const auto doc = [](double linear_ns, double indexed_ns, double gate) {
     std::ostringstream os;
     os << R"({"schema": "prdrb-bench-baseline-v1",)"
        << R"("end_to_end": {"events": 100,)"
        << R"("after": {"wall_s": 1.0, "events_per_sec": 100}},)"
-       << R"("clustered_tie": {"heap_ns": )" << heap_ns
-       << R"(, "calendar_ns": )" << calendar_ns
-       << R"(, "max_calendar_vs_heap": )" << gate << "}}";
+       << R"("sdb_lookup": {"linear_ns": )" << linear_ns
+       << R"(, "indexed_ns": )" << indexed_ns
+       << R"(, "min_speedup": )" << gate << "}}";
     return os.str();
   };
-  const JsonValue base = parsed(doc(100, 105, 1.1));
+  const JsonValue base = parsed(doc(1000, 10, 10));
 
-  // Within the gate: info only.
-  EXPECT_FALSE(check_documents(base, parsed(doc(100, 108, 1.1)),
+  // Above the gate: info only.
+  EXPECT_FALSE(check_documents(base, parsed(doc(1000, 20, 10)),
                                CheckThresholds{})
                    .has_regression());
-  // Beyond the gate: regression, downgradable by perf_warn_only.
-  const JsonValue slow = parsed(doc(100, 230, 1.1));
+  // Below the gate: regression, downgradable by perf_warn_only.
+  const JsonValue slow = parsed(doc(1000, 500, 10));
   EXPECT_TRUE(check_documents(base, slow, CheckThresholds{}).has_regression());
   CheckThresholds warn;
   warn.perf_warn_only = true;
@@ -218,25 +219,25 @@ TEST(Report, ClusteredTieGateComparesRatioAgainstBaseline) {
   bool warned = false;
   for (const Finding& f : downgraded.findings) {
     warned |= f.level == Finding::Level::kWarning &&
-              f.message.find("clustered-tie") != std::string::npos;
+              f.message.find("sdb-lookup") != std::string::npos;
   }
   EXPECT_TRUE(warned) << "downgraded gate miss must still surface";
 
   // A measurement doc without the section is flagged (warn), and a baseline
   // without a gate cannot fail the measurement.
-  const char* kNoTie = R"({"schema": "prdrb-bench-baseline-v1",
+  const char* kNoSdb = R"({"schema": "prdrb-bench-baseline-v1",
     "end_to_end": {"events": 100,
                    "after": {"wall_s": 1.0, "events_per_sec": 100}}})";
   const CheckResult missing =
-      check_documents(base, parsed(kNoTie), CheckThresholds{});
+      check_documents(base, parsed(kNoSdb), CheckThresholds{});
   EXPECT_FALSE(missing.has_regression());
   bool flagged = false;
   for (const Finding& f : missing.findings) {
     flagged |= f.level == Finding::Level::kWarning &&
-               f.message.find("clustered_tie") != std::string::npos;
+               f.message.find("sdb_lookup") != std::string::npos;
   }
   EXPECT_TRUE(flagged);
-  EXPECT_FALSE(check_documents(parsed(kNoTie), slow, CheckThresholds{})
+  EXPECT_FALSE(check_documents(parsed(kNoSdb), slow, CheckThresholds{})
                    .has_regression());
 }
 

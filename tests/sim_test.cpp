@@ -1,11 +1,24 @@
+// Discrete-event kernel tests: EventQueue ordering, cancellation and
+// tombstone bounds, batched same-time dispatch, a differential fuzz against
+// an ordered-set reference model, steady-state allocation-freedom under the
+// operator-new interposer, and the Simulator run loop.
 #include <array>
+#include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "experiment/scenario.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 
 namespace prdrb {
 namespace {
@@ -172,6 +185,280 @@ TEST(EventQueue, EventIdsAreMonotonic) {
   }
 }
 
+TEST(EventQueue, NaNScheduleThrowsAndCorruptsNothing) {
+  // A NaN timestamp compares false against everything: it would silently
+  // break the heap ordering invariant. It must be rejected before any state
+  // changes.
+  EventQueue q;
+  q.schedule(1e-6, [] {});
+  EXPECT_THROW(q.schedule(std::nan(""), [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule(-std::numeric_limits<double>::quiet_NaN(), [] {}),
+               std::invalid_argument);
+  EXPECT_EQ(q.live(), 1u) << "failed schedule must not leak a slot";
+  EXPECT_EQ(q.pop().time, 1e-6);
+  EXPECT_TRUE(q.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Batched same-time dispatch
+
+TEST(BatchDispatch, DrainsSameTimeRunInSchedulingOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(2e-6, [&] { order.push_back(99); });  // later time: not drained
+  for (int i = 0; i < 8; ++i) {
+    q.schedule(1e-6, [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(q.begin_batch(), 1e-6);
+  EventQueue::Action a;
+  while (q.next_batch_action(a)) a();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(q.live(), 1u);
+  EXPECT_EQ(q.next_time(), 2e-6);
+}
+
+TEST(BatchDispatch, MidBatchCancelIsHonoured) {
+  EventQueue q;
+  std::vector<int> order;
+  EventId victim = 0;
+  q.schedule(1e-6, [&] {
+    order.push_back(0);
+    q.cancel(victim);  // cancels an entry already drained into this batch
+  });
+  q.schedule(1e-6, [&] { order.push_back(1); });
+  victim = q.schedule(1e-6, [&] { order.push_back(2); });
+  q.begin_batch();
+  EventQueue::Action a;
+  while (q.next_batch_action(a)) a();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending_cancellations(), 0u) << "batch tombstone not consumed";
+}
+
+TEST(BatchDispatch, SameTimeSelfSchedulingFormsNextBatch) {
+  // An action scheduling at its own timestamp must run at that time, after
+  // the whole current batch — the order per-event pop() would produce.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1e-6, [&] {
+    order.push_back(0);
+    sim.schedule_at(1e-6, [&] { order.push_back(2); });
+  });
+  sim.schedule_at(1e-6, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.now(), 1e-6);
+  EXPECT_EQ(sim.events_executed(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential fuzz against a reference model
+
+/// Reference pending-event set: (time, id) pairs in a std::set, erased
+/// eagerly on cancel. EventIds grow with scheduling order, so the set's
+/// order is exactly the queue's (time, sequence) dispatch contract.
+class ReferenceQueue {
+ public:
+  void schedule(SimTime when, EventId id, int marker) {
+    order_.emplace(when, id);
+    pending_.emplace(id, Entry{when, marker});
+  }
+
+  /// Erase a pending id; fired, cancelled and unknown ids are no-ops.
+  void cancel(EventId id) {
+    const auto it = pending_.find(id);
+    if (it == pending_.end()) return;
+    order_.erase({it->second.when, id});
+    pending_.erase(it);
+  }
+
+  /// Scheduled time of a pending id; kTimeInfinity when not pending.
+  SimTime time_of(EventId id) const {
+    const auto it = pending_.find(id);
+    return it == pending_.end() ? kTimeInfinity : it->second.when;
+  }
+
+  bool empty() const { return order_.empty(); }
+  std::size_t size() const { return order_.size(); }
+  SimTime next_time() const {
+    return empty() ? kTimeInfinity : order_.begin()->first;
+  }
+
+  /// Remove the earliest entry and return its (time, marker).
+  std::pair<SimTime, int> pop() {
+    const EventId id = order_.begin()->second;
+    order_.erase(order_.begin());
+    const auto it = pending_.find(id);
+    const std::pair<SimTime, int> fired{it->second.when, it->second.marker};
+    pending_.erase(it);
+    return fired;
+  }
+
+ private:
+  struct Entry {
+    SimTime when;
+    int marker;
+  };
+  std::set<std::pair<SimTime, EventId>> order_;
+  std::map<EventId, Entry> pending_;
+};
+
+using Fired = std::vector<std::pair<SimTime, int>>;
+
+/// Schedule one marker-recording event on both the queue and the model.
+EventId schedule_both(EventQueue& q, ReferenceQueue& ref, Fired& fired,
+                      SimTime when, int marker) {
+  const EventId id = q.schedule(when, [&fired, when, marker] {
+    fired.emplace_back(when, marker);
+  });
+  ref.schedule(when, id, marker);
+  return id;
+}
+
+TEST(SchedulerDifferential, FuzzedScheduleCancelPopMatchExactly) {
+  std::mt19937_64 rng(0xC0FFEEu);
+  for (int trial = 0; trial < 8; ++trial) {
+    EventQueue q;
+    ReferenceQueue ref;
+    Fired fired;
+    std::vector<EventId> ids;
+    int next_marker = 0;
+    double base = 0.0;
+
+    for (int op = 0; op < 3000; ++op) {
+      const std::uint64_t roll = rng() % 100;
+      if (roll < 55) {
+        // Schedule: clustered times with deliberate exact duplicates and the
+        // occasional far-future outlier.
+        SimTime when = base + static_cast<double>(rng() % 16) * 0.25e-6;
+        if (rng() % 20 == 0) when = base + 1e3;
+        if (rng() % 50 == 0) when = base;  // exact tie
+        const EventId id = schedule_both(q, ref, fired, when, next_marker++);
+        ASSERT_TRUE(ids.empty() || id > ids.back()) << "ids not monotonic";
+        ids.push_back(id);
+        base += static_cast<double>(rng() % 3) * 0.1e-6;
+      } else if (roll < 75) {
+        if (ids.empty()) continue;
+        // Cancel a random id — live, fired or already cancelled — or one
+        // that was never issued (same sequence, neighbouring slot): every
+        // non-pending id must be a no-op.
+        const EventId victim =
+            rng() % 8 == 0 ? ids.back() + 1 : ids[rng() % ids.size()];
+        q.cancel(victim);
+        ref.cancel(victim);
+      } else if (roll < 90) {
+        if (q.empty()) continue;
+        auto f = q.pop();
+        f.action();
+        const auto want = ref.pop();
+        ASSERT_EQ(f.time, want.first);
+        ASSERT_EQ(fired.back(), want);
+      } else {
+        if (q.empty()) continue;
+        const SimTime t = q.begin_batch();
+        ASSERT_EQ(t, ref.next_time());
+        EventQueue::Action a;
+        while (q.next_batch_action(a)) {
+          a();
+          ASSERT_EQ(fired.back(), ref.pop());
+        }
+        ASSERT_GT(ref.next_time(), t) << "batch left events at its time";
+      }
+      ASSERT_EQ(q.live(), ref.size()) << "live counts diverged at op " << op;
+      ASSERT_EQ(q.empty(), ref.empty());
+      ASSERT_EQ(q.next_time(), ref.next_time());
+      ASSERT_LE(q.pending_cancellations(), q.size());
+    }
+    while (!q.empty()) {
+      auto f = q.pop();
+      f.action();
+      ASSERT_EQ(fired.back(), ref.pop()) << "trial " << trial;
+    }
+    EXPECT_TRUE(ref.empty());
+    EXPECT_EQ(q.pending_cancellations(), 0u);
+  }
+}
+
+// Tie-heavy regime: 10k+ events packed onto <= 8 distinct timestamps per
+// round, with pre-drain cancels and mid-batch cancels that may hit entries
+// already drained into the running batch.
+TEST(SchedulerDifferential, TieHeavyClusteredTimestampsMatchExactly) {
+  std::mt19937_64 rng(0xBEEFu);
+  EventQueue q;
+  ReferenceQueue ref;
+  Fired fired;
+  std::vector<EventId> live_ids;
+  int next_marker = 0;
+  int batch_member_cancels = 0;
+
+  double base = 0.0;
+  for (int round = 0; round < 10; ++round) {
+    // 1200 events per round, all landing on 8 distinct ticks.
+    for (int i = 0; i < 1200; ++i) {
+      live_ids.push_back(schedule_both(
+          q, ref, fired, base + static_cast<double>(rng() % 8) * 1e-6,
+          next_marker++));
+    }
+    // Pre-drain cancels: ~15 % of everything still tracked.
+    for (std::size_t i = 0; i < live_ids.size() / 7; ++i) {
+      const EventId victim = live_ids[rng() % live_ids.size()];
+      q.cancel(victim);
+      ref.cancel(victim);
+    }
+    // Drain all 8 ticks batch-wise; every 16th action cancels a random id.
+    while (!q.empty()) {
+      const SimTime t = q.begin_batch();
+      ASSERT_EQ(t, ref.next_time());
+      EventQueue::Action a;
+      int step = 0;
+      while (q.next_batch_action(a)) {
+        a();
+        ASSERT_EQ(fired.back(), ref.pop());
+        if (++step % 16 == 0) {
+          const EventId victim = live_ids[rng() % live_ids.size()];
+          if (ref.time_of(victim) == t) ++batch_member_cancels;
+          q.cancel(victim);
+          ref.cancel(victim);
+        }
+      }
+      ASSERT_GT(ref.next_time(), t);
+      ASSERT_EQ(q.live(), ref.size());
+      ASSERT_EQ(q.empty(), ref.empty());
+    }
+    live_ids.clear();
+    base += 1.0;
+  }
+  ASSERT_GT(next_marker, 10000) << "meant to be a 10k+ event stress";
+  EXPECT_GT(batch_member_cancels, 0) << "no cancel hit a drained batch entry";
+  EXPECT_EQ(q.pending_cancellations(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Allocation-freedom (operator-new interposer, test_util.hpp)
+
+TEST(Allocations, BatchDispatchScratchIsReusedAllocationFree) {
+  EventQueue q;
+  std::uint64_t sink = 0;
+  auto round = [&](int r) {
+    for (int i = 0; i < 16; ++i) {  // 16 events sharing one timestamp
+      q.schedule(static_cast<SimTime>(r), [&sink, i] {
+        sink += static_cast<std::uint64_t>(i);
+      });
+    }
+    while (!q.empty()) {
+      q.begin_batch();
+      EventQueue::Action a;
+      while (q.next_batch_action(a)) a();
+    }
+  };
+  int r = 0;
+  for (; r < 4000; ++r) round(r);
+  test::AllocationScope scope;
+  for (int measured = 0; measured < 500; ++measured) round(r++);
+  EXPECT_EQ(scope.count(), 0u) << "batch dispatch allocated";
+  EXPECT_GT(sink, 0u);
+}
+
 TEST(InlineFunction, LargeCapturesSpillToHeapAndStillRun) {
   // Captures beyond the inline budget must still work (single allocation,
   // std::function-equivalent semantics).
@@ -245,6 +532,26 @@ TEST(Simulator, ZeroDelayEventRunsAtCurrentTime) {
   });
   sim.run();
   EXPECT_DOUBLE_EQ(t, 1.0);
+}
+
+TEST(SchedulerNames, ExpectedPendingEventsScalesWithTopologyAndLoad) {
+  const auto mesh = make_topology("mesh-8x8").value_or_throw();
+  const auto tree = make_topology("tree-256").value_or_throw();
+  ScenarioSpec sc;  // default synthetic workload
+  const std::size_t small = expected_pending_events(*mesh, sc);
+  EXPECT_GT(small, 0u);
+  // Offered load scales the per-entity estimate (until the clamp).
+  sc.synthetic().rate_bps = 10e9;
+  EXPECT_GT(expected_pending_events(*mesh, sc), small);
+  // More entities → more expected pending events, same workload.
+  EXPECT_GT(expected_pending_events(*tree, sc),
+            expected_pending_events(*mesh, sc));
+  // Trace replays use a fixed per-entity allowance, independent of rate.
+  ScenarioSpec tr;
+  tr.trace().app = "sweep3d";
+  EXPECT_EQ(expected_pending_events(*mesh, tr),
+            static_cast<std::size_t>(8 * (mesh->num_nodes() +
+                                          mesh->num_routers())));
 }
 
 }  // namespace

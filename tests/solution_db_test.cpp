@@ -1,8 +1,8 @@
 // Solution-database unit and property tests: deterministic persistence,
 // import hardening, the signature-drift regression, LRU eviction accounting,
 // the prefix-filter index's byte-identity contract (differential fuzz vs the
-// linear scan), and warm-started scenario determinism across scheduler
-// backends and sweep parallelism.
+// linear scan), and warm-started scenario determinism across repeats and
+// sweep parallelism.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -392,8 +392,8 @@ TEST(SolutionDbIndex, StricterThresholdStaysExact) {
 
 // End-to-end determinism of the --sdb-in/--sdb-out plumbing: a cold run
 // exports a non-empty database, and warm runs seeded from it produce
-// bit-identical ScenarioResults and byte-identical exports across scheduler
-// backends and sweep parallelism (the house invariant extended to the new
+// bit-identical ScenarioResults and byte-identical exports across repeats
+// and sweep parallelism (the house invariant extended to the new
 // persistence path).
 class SolutionDbWarmStart : public ::testing::Test {
  protected:
@@ -427,21 +427,19 @@ TEST_F(SolutionDbWarmStart, ColdRunExportsWarmRunsAgree) {
   ScenarioSpec warm = base_spec();
   warm.sdb_in = cold.sdb_out;
 
-  ScenarioSpec warm_heap = warm;
-  warm_heap.sched = SchedulerKind::kBinaryHeap;
-  warm_heap.sdb_out = tmp("sdb_warm_heap.txt");
-  const ScenarioResult r_heap = run_scenario("pr-drb", warm_heap);
+  ScenarioSpec warm_a = warm;
+  warm_a.sdb_out = tmp("sdb_warm_a.txt");
+  const ScenarioResult r_a = run_scenario("pr-drb", warm_a);
 
-  ScenarioSpec warm_cal = warm;
-  warm_cal.sched = SchedulerKind::kCalendar;
-  warm_cal.sdb_out = tmp("sdb_warm_cal.txt");
-  const ScenarioResult r_cal = run_scenario("pr-drb", warm_cal);
+  ScenarioSpec warm_b = warm;
+  warm_b.sdb_out = tmp("sdb_warm_b.txt");
+  const ScenarioResult r_b = run_scenario("pr-drb", warm_b);
 
-  EXPECT_EQ(r_heap, r_cal);  // bit-wise ScenarioResult equality
-  EXPECT_EQ(slurp(warm_heap.sdb_out), slurp(warm_cal.sdb_out));
+  EXPECT_EQ(r_a, r_b);  // bit-wise ScenarioResult equality
+  EXPECT_EQ(slurp(warm_a.sdb_out), slurp(warm_b.sdb_out));
   // The warm database starts non-empty, so the run ends with at least the
   // imported patterns.
-  EXPECT_GE(r_heap.patterns_saved, cold_result.patterns_saved);
+  EXPECT_GE(r_a.patterns_saved, cold_result.patterns_saved);
 }
 
 TEST_F(SolutionDbWarmStart, ReplicatedSweepIsJobCountInvariant) {

@@ -9,7 +9,7 @@
 //     flow's opens, merge() equals a single-pass instance
 //   - scenario integration: attached runs leave ScenarioResults untouched
 //     (zero event-count drift), NDJSON is byte-identical across repeats
-//     and scheduler backends and every line parses, per-link totals equal
+//     and every line parses, per-link totals equal
 //     NetTelemetry's, and the hotspot fixture yields a positive median
 //     prediction lead
 //   - bounded memory: memory_bytes() is flat over sim time while the
@@ -425,19 +425,16 @@ TEST(StreamScenario, AttachedRunLeavesResultsUntouched) {
 }
 
 TEST(StreamScenario, NdjsonByteIdenticalAcrossRepeatsAndBackends) {
-  const auto run_with = [](SchedulerKind kind) {
+  const auto run_once = [] {
     ScenarioSpec spec = contended_spec();
-    spec.sched = kind;
     StreamTelemetry st;
     spec.sinks.stream = &st;
     run_scenario("pr-drb", spec);
     return st.ndjson();
   };
-  const std::string heap1 = run_with(SchedulerKind::kBinaryHeap);
-  const std::string heap2 = run_with(SchedulerKind::kBinaryHeap);
-  const std::string cal = run_with(SchedulerKind::kCalendar);
+  const std::string heap1 = run_once();
+  const std::string heap2 = run_once();
   EXPECT_EQ(heap1, heap2) << "repeat runs must export identically";
-  EXPECT_EQ(heap1, cal) << "scheduler backend must not leak into the stream";
 
   // Every NDJSON line is an intact document; the last is the summary.
   ASSERT_FALSE(heap1.empty());

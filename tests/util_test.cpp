@@ -1,10 +1,13 @@
 #include <algorithm>
 #include <array>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/parsed.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
 
@@ -130,6 +133,33 @@ TEST(Table, CsvFormat) {
 TEST(Table, NumFormatsPrecision) {
   EXPECT_EQ(Table::num(1.23456, 3), "1.23");
   EXPECT_EQ(Table::num(2.0, 4), "2");
+}
+
+TEST(Parsed, EditDistanceAndNearestName) {
+  EXPECT_EQ(edit_distance("kitten", "sitting"), 3u);
+  EXPECT_EQ(edit_distance("", "abc"), 3u);
+  EXPECT_EQ(edit_distance("drb", "drb"), 0u);
+  const std::vector<std::string_view> names{"uniform", "tornado"};
+  EXPECT_EQ(nearest_name("unifrom", names), "uniform");
+  EXPECT_EQ(nearest_name("tornadp", names), "tornado");
+  EXPECT_EQ(nearest_name("xyzzy-long-typo", names), "")
+      << "wild typos must not produce absurd suggestions";
+}
+
+TEST(Parsed, ErrorCarriesDiagnosticAndThrows) {
+  ParseError err;
+  err.input = "pr-dbr";
+  err.kind = "policy";
+  err.message = "unknown policy";
+  err.suggestion = "pr-drb";
+  EXPECT_EQ(err.what(), "unknown policy 'pr-dbr' (did you mean 'pr-drb'?)");
+  Parsed<int> bad{err};
+  EXPECT_FALSE(bad.ok());
+  EXPECT_THROW(bad.value_or_throw(), std::invalid_argument);
+  Parsed<int> good{7};
+  EXPECT_TRUE(good.ok());
+  EXPECT_EQ(good.value(), 7);
+  EXPECT_EQ(good.value_or_throw(), 7);
 }
 
 }  // namespace
