@@ -1,6 +1,5 @@
 #include "core/cfd.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -10,68 +9,41 @@ namespace prdrb {
 
 CongestionDetector::CongestionDetector(NotificationMode mode) : mode_(mode) {}
 
-void CongestionDetector::select_contenders(
-    const Packet& head, const std::deque<Packet*>& queue, int max_flows,
-    std::vector<ContendingFlow>& out) {
-  // Accumulate queued bytes per flow: the "average of occupation of every
-  // unique source" heuristic of §3.2.2, realized as byte shares.
-  struct Share {
-    ContendingFlow flow;
-    std::int64_t bytes = 0;
-  };
-  std::vector<Share> shares;
-  auto account = [&](const Packet& p) {
-    if (p.is_ack()) return;
-    const ContendingFlow f{p.source, p.destination};
-    for (Share& s : shares) {
-      if (s.flow == f) {
-        s.bytes += p.size_bytes;
-        return;
-      }
-    }
-    shares.push_back(Share{f, p.size_bytes});
-  };
-  account(head);
-  for (const Packet* p : queue) account(*p);
-
-  std::stable_sort(shares.begin(), shares.end(),
-                   [](const Share& a, const Share& b) {
-                     return a.bytes > b.bytes;
-                   });
-  out.clear();
-  for (const Share& s : shares) {
-    if (static_cast<int>(out.size()) >= max_flows) break;
-    out.push_back(s.flow);
-  }
-}
-
 void CongestionDetector::on_transmit(Network& net, RouterId r, int port,
                                      Packet& head, SimTime wait,
-                                     const std::deque<Packet*>& queue) {
+                                     const std::deque<Packet*>& /*queue*/) {
+  detect(net, r, port, head, wait, net.flow_ledger(),
+         net.ledger_port(r, port));
+}
+
+void CongestionDetector::detect(Network& net, RouterId r, int port,
+                                Packet& head, SimTime wait,
+                                const FlowLedger& ledger, int ledger_port) {
   if (head.is_ack()) return;  // control traffic is not monitored
   const NetConfig& cfg = net.config();
   if (wait < cfg.router_contention_threshold_s) return;
   ++detections_;
 
-  static thread_local std::vector<ContendingFlow> flows;
-  select_contenders(head, queue, cfg.max_contending_flows, flows);
+  // The top contributors by queued bytes: the "average of occupation of
+  // every unique source" heuristic of §3.2.2, realized as byte shares.
+  ledger.top(ledger_port, head, cfg.max_contending_flows, flows_);
   if (tracer_) {
     tracer_->congestion_detected(r, port, wait,
-                                 static_cast<int>(flows.size()),
+                                 static_cast<int>(flows_.size()),
                                  net.simulator().now());
   }
   if (recorder_) {
     recorder_->record(obs::FlightRecorder::EventKind::kCongestion,
                       net.simulator().now(), r, port,
-                      static_cast<std::int32_t>(flows.size()), wait);
+                      static_cast<std::int32_t>(flows_.size()), wait);
   }
-  if (flows.empty()) return;
+  if (flows_.empty()) return;
 
   if (mode_ == NotificationMode::kDestinationBased) {
     // Fill the predictive header of the transiting packet; the destination
     // copies it into the ACK (§3.2.2).
     head.congested_router = r;
-    for (const ContendingFlow& f : flows) {
+    for (const ContendingFlow& f : flows_) {
       if (append_flow(head.contending, f, cfg.max_contending_flows) ==
           FlowAppend::kCapped) {
         ++truncated_flows_;
@@ -86,7 +58,7 @@ void CongestionDetector::on_transmit(Network& net, RouterId r, int port,
   // reported, so its ACK carries only the latency (§3.4.2).
   head.predictive_bit = true;
   const SimTime now = net.simulator().now();
-  for (const ContendingFlow& f : flows) {
+  for (const ContendingFlow& f : flows_) {
     const std::uint64_t k =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(r)) << 32) |
         static_cast<std::uint32_t>(f.src);
@@ -104,7 +76,7 @@ void CongestionDetector::on_transmit(Network& net, RouterId r, int port,
     ack.size_bytes = cfg.ack_bytes;
     ack.reported_latency = wait;
     ack.congested_router = r;
-    ack.contending.assign(flows.begin(), flows.end());
+    ack.contending.assign(flows_.begin(), flows_.end());
     net.inject_at_router(r, std::move(ack));
     ++predictive_acks_;
     if (tracer_) tracer_->predictive_ack(r, f.src, now);

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "net/network.hpp"
 
@@ -34,8 +35,15 @@ class CongestionDetector final : public RouterMonitor {
   explicit CongestionDetector(
       NotificationMode mode = NotificationMode::kDestinationBased);
 
+  /// Reads the contenders from `net.flow_ledger()`; `queue` is ignored.
   void on_transmit(Network& net, RouterId r, int port, Packet& head,
                    SimTime wait, const std::deque<Packet*>& queue) override;
+
+  /// The detection itself: `head` left router `r`'s output `port` after
+  /// waiting `wait`; the flows still queued there are tallied in `ledger`
+  /// at index `ledger_port`.
+  void detect(Network& net, RouterId r, int port, Packet& head, SimTime wait,
+              const FlowLedger& ledger, int ledger_port);
 
   NotificationMode mode() const { return mode_; }
 
@@ -52,6 +60,9 @@ class CongestionDetector final : public RouterMonitor {
   /// max_contending_flows (destination-based mode).
   std::uint64_t truncated_flows() const { return truncated_flows_; }
 
+  /// Flows picked by the most recent detection, largest contributor first.
+  const std::vector<ContendingFlow>& last_selection() const { return flows_; }
+
   /// Attach a tracer for "congestion"/"pred-ack" events; nullptr detaches
   /// (the disabled state costs a single branch per detection).
   void set_tracer(obs::Tracer* t) { tracer_ = t; }
@@ -60,15 +71,11 @@ class CongestionDetector final : public RouterMonitor {
   void set_recorder(obs::FlightRecorder* rec) { recorder_ = rec; }
 
  private:
-  /// Pick the top-contributing flows in the queue (by queued bytes).
-  void select_contenders(const Packet& head,
-                         const std::deque<Packet*>& queue, int max_flows,
-                         std::vector<ContendingFlow>& out);
-
   NotificationMode mode_;
   SimTime cooldown_ = 5e-6;
   // (router, source) -> last predictive-ACK injection time.
   std::unordered_map<std::uint64_t, SimTime> last_notify_;
+  std::vector<ContendingFlow> flows_;  // selection scratch, grow-only
   std::uint64_t detections_ = 0;
   std::uint64_t predictive_acks_ = 0;
   std::uint64_t truncated_flows_ = 0;

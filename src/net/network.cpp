@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/counters.hpp"
@@ -33,15 +34,28 @@ Network::Network(Simulator& sim, const Topology& topo, const NetConfig& cfg,
                  RoutingPolicy& policy)
     : sim_(sim), topo_(topo), cfg_(cfg), policy_(policy) {
   routers_.reserve(static_cast<std::size_t>(topo.num_routers()));
+  port_base_.reserve(static_cast<std::size_t>(topo.num_routers()));
+  int ports = 0;
   for (RouterId r = 0; r < topo.num_routers(); ++r) {
     routers_.emplace_back(r, topo.radix(r));
+    port_base_.push_back(ports);
+    ports += topo.radix(r);
   }
+  ledger_ = FlowLedger(static_cast<std::size_t>(ports));
   nics_.resize(static_cast<std::size_t>(topo.num_nodes()));
   for (NodeId n = 0; n < topo.num_nodes(); ++n) {
     nics_[static_cast<std::size_t>(n)].node = n;
   }
   vn_capacity_ = cfg_.vn_capacity(kNumVirtualNetworks);
   policy_.attach(*this);
+}
+
+void Network::set_monitor(RouterMonitor* mon) {
+  // Packets already created would reach an output queue untallied.
+  if (pool_.outstanding() != 0) {
+    throw std::logic_error("Network::set_monitor: packets are in flight");
+  }
+  monitor_ = mon;
 }
 
 std::uint64_t Network::send_message(NodeId src, NodeId dst,
@@ -205,6 +219,7 @@ void Network::route_and_enqueue(RouterId r, Packet* p) {
   p->queued_at = sim_.now();
   out.queue_bytes += p->size_bytes;
   out.queue.push_back(p);
+  if (monitor_) ledger_.push(ledger_port(r, port), *p);
   try_transmit(r, port);
 }
 
@@ -244,6 +259,7 @@ void Network::try_transmit(RouterId r, int port) {
   Packet* p = out.queue.front();
   out.queue.pop_front();
   out.queue_bytes -= p->size_bytes;
+  if (monitor_) ledger_.pop(ledger_port(r, port), *p);
   downstream.vn_used[static_cast<std::size_t>(vn)] += p->size_bytes;
 
   const SimTime now = sim_.now();

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "net/config.hpp"
+#include "net/flow_ledger.hpp"
 #include "net/nic.hpp"
 #include "net/packet.hpp"
 #include "net/packet_pool.hpp"
@@ -65,7 +66,9 @@ class RouterMonitor {
   virtual ~RouterMonitor() = default;
   /// `head` is the departing packet (mutable: the monitor may append the
   /// predictive header); `queue` is the remaining contents of the output
-  /// queue it waited in.
+  /// queue it waited in — the raw queue, kept for decorators and for the
+  /// differential test. Per-flow tallies of that queue are in
+  /// `net.flow_ledger()` at `net.ledger_port(r, port)`.
   virtual void on_transmit(Network& net, RouterId r, int port, Packet& head,
                            SimTime wait,
                            const std::deque<Packet*>& queue) = 0;
@@ -94,7 +97,10 @@ class Network {
   void add_observer(NetworkObserver* obs) {
     if (obs) observers_.push_back(obs);
   }
-  void set_monitor(RouterMonitor* mon) { monitor_ = mon; }
+  /// Attach the router monitor (nullptr detaches). While one is attached
+  /// the network keeps the output-port FlowLedger up to date; it must be
+  /// set before any packet exists (throws std::logic_error otherwise).
+  void set_monitor(RouterMonitor* mon);
   void set_message_handler(MessageHandler h) { on_message_ = std::move(h); }
 
   /// Register this network's counters and gauges ("net.*", DESIGN.md
@@ -161,6 +167,15 @@ class Network {
   /// Total packets delivered so far (data only).
   std::uint64_t packets_delivered() const { return packets_delivered_; }
 
+  /// Queued data bytes per flow at every output port, maintained only
+  /// while a monitor is attached (the CFD module's contender tally).
+  const FlowLedger& flow_ledger() const { return ledger_; }
+
+  /// Dense index of router `r`'s output `port` in flow_ledger().
+  int ledger_port(RouterId r, int port) const {
+    return port_base_[static_cast<std::size_t>(r)] + port;
+  }
+
   /// The packet arena (pool occupancy introspection, DESIGN.md "Pooled
   /// event kernel").
   const PacketPool& packet_pool() const { return pool_; }
@@ -214,6 +229,8 @@ class Network {
   obs::StreamTelemetry* stream_ = nullptr;
 
   PacketPool pool_;
+  std::vector<int> port_base_;  // per router: first ledger_port index
+  FlowLedger ledger_;
   std::vector<Router> routers_;
   std::vector<Nic> nics_;
   std::int64_t vn_capacity_ = 0;

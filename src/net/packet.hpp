@@ -71,7 +71,6 @@ enum class MpiType : std::uint8_t {
 struct Packet {
   std::uint64_t id = 0;       // unique per simulation
   std::uint64_t message_id = 0;  // fragments of one message share this
-  PacketType type = PacketType::kData;
 
   NodeId source = kInvalidNode;
   NodeId destination = kInvalidNode;
@@ -80,10 +79,6 @@ struct Packet {
   // the slot is unused (direct minimal path).
   NodeId intermediate1 = kInvalidNode;
   NodeId intermediate2 = kInvalidNode;
-
-  // Cursor over {IN1, IN2, destination}; advanced by the HDP module.
-  // 0 -> heading for IN1 (or destination if no INs), 1 -> IN2, 2 -> dest.
-  std::uint8_t header_id = 0;
 
   // Which MSP of the source's metapath produced this packet; echoed in the
   // ACK so the source can credit the measured latency to the right path.
@@ -94,6 +89,14 @@ struct Packet {
   // Fragmentation (messages larger than one packet).
   std::int32_t fragment_index = 0;
   std::int32_t total_fragments = 1;
+
+  // The one-byte fields sit together so they share one padding gap.
+  PacketType type = PacketType::kData;
+
+  // Cursor over {IN1, IN2, destination}; advanced by the HDP module.
+  // 0 -> heading for IN1 (or destination if no INs), 1 -> IN2, 2 -> dest.
+  std::uint8_t header_id = 0;
+
   bool final_fragment = true;  // the F bit
 
   // P bit: a router already injected a predictive ACK for this packet, so
@@ -126,9 +129,17 @@ struct Packet {
   ContendingList contending;
   RouterId congested_router = kInvalidRouter;
 
+  // FlowLedger scratch (net/flow_ledger.hpp), written only while a
+  // RouterMonitor is attached: enqueue sequence number at the current hop.
+  std::uint32_t queue_seq = 0;
+
   // For ACKs: id of the acknowledged message (lets FR-DRB disarm the
   // watchdog it armed when that message was sent).
   std::uint64_t acked_message_id = 0;
+
+  // FlowLedger scratch: the next queued packet of the same flow at the
+  // current port (the newest one links back to the oldest).
+  Packet* next_in_flow = nullptr;
 
   /// Terminal the packet is currently heading for, given `header_id`.
   NodeId current_target() const;

@@ -2,10 +2,19 @@
 // logic, parameterized over distances, sizes and configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
+#include <stdexcept>
+#include <vector>
+
 #include "core/cfd.hpp"
+#include "core/pr_drb.hpp"
+#include "net/flow_ledger.hpp"
 #include "routing/drb.hpp"
 #include "routing/oblivious.hpp"
 #include "test_util.hpp"
+#include "util/random.hpp"
 
 namespace prdrb {
 namespace {
@@ -118,14 +127,14 @@ TEST(AckGating, DrbReceivesOneAckPerMessage) {
 // ---------------------------------------------------------------------------
 // CongestionDetector selection logic
 
-class RecordingMonitor final : public RouterMonitor {
- public:
-  void on_transmit(Network&, RouterId, int, Packet& head, SimTime,
-                   const std::deque<Packet*>&) override {
-    last_contending.assign(head.contending.begin(), head.contending.end());
-  }
-  std::vector<ContendingFlow> last_contending;
-};
+/// Route a synthetic output queue through `ledger` port 0 the way Network
+/// does: `head` is enqueued first, then `queue`, then `head` departs.
+void enqueue_then_depart(FlowLedger& ledger, Packet& head,
+                         std::vector<Packet>& queue) {
+  ledger.push(0, head);
+  for (Packet& p : queue) ledger.push(0, p);
+  ledger.pop(0, head);
+}
 
 TEST(Cfd, TopContributorsSelectedFirst) {
   CongestionDetector cfd(NotificationMode::kDestinationBased);
@@ -142,8 +151,6 @@ TEST(Cfd, TopContributorsSelectedFirst) {
   backing.push_back(mk(1, 9, 1024));
   backing.push_back(mk(2, 9, 1024));
   backing.push_back(mk(1, 9, 1024));
-  std::deque<Packet*> queue;
-  for (Packet& p : backing) queue.push_back(&p);
 
   Simulator sim;
   Mesh2D mesh(4, 4);
@@ -153,7 +160,9 @@ TEST(Cfd, TopContributorsSelectedFirst) {
   Network net(sim, mesh, cfg, pol);
 
   Packet head = mk(1, 9, 1024);
-  cfd.on_transmit(net, 0, 0, head, /*wait=*/5e-6, queue);
+  FlowLedger ledger(1);
+  enqueue_then_depart(ledger, head, backing);
+  cfd.detect(net, 0, 0, head, /*wait=*/5e-6, ledger, 0);
   ASSERT_GE(head.contending.size(), 2u);
   EXPECT_EQ(head.contending[0], (ContendingFlow{1, 9}));  // biggest share
   EXPECT_EQ(head.congested_router, 0);
@@ -173,8 +182,10 @@ TEST(Cfd, AcksAreNeverMonitored) {
   ack.source = 1;
   ack.destination = 2;
   ack.size_bytes = 64;
-  std::deque<Packet*> queue;
-  cfd.on_transmit(net, 0, 0, ack, 1e-3, queue);
+  FlowLedger ledger(1);
+  std::vector<Packet> queue;
+  enqueue_then_depart(ledger, ack, queue);
+  cfd.detect(net, 0, 0, ack, 1e-3, ledger, 0);
   EXPECT_EQ(cfd.detections(), 0u);
   EXPECT_TRUE(ack.contending.empty());
 }
@@ -188,14 +199,16 @@ TEST(Cfd, RouterBasedCooldownLimitsAckStorm) {
   cfg.router_contention_threshold_s = 1e-6;
   DeterministicPolicy pol;
   Network net(sim, mesh, cfg, pol);
-  std::deque<Packet*> queue;
+  FlowLedger ledger(1);
+  std::vector<Packet> queue;
   Packet head;
   head.source = 1;
   head.destination = 9;
   head.size_bytes = 1024;
   for (int i = 0; i < 5; ++i) {
     Packet h2 = head;
-    cfd.on_transmit(net, 0, 0, h2, 5e-6, queue);
+    enqueue_then_depart(ledger, h2, queue);
+    cfd.detect(net, 0, 0, h2, 5e-6, ledger, 0);
   }
   EXPECT_EQ(cfd.detections(), 5u);
   EXPECT_EQ(cfd.predictive_acks(), 1u);  // cooldown suppressed the rest
@@ -210,12 +223,14 @@ TEST(Cfd, PredictiveBitSetOnRouterBasedNotification) {
   cfg.router_contention_threshold_s = 1e-6;
   DeterministicPolicy pol;
   Network net(sim, mesh, cfg, pol);
-  std::deque<Packet*> queue;
+  FlowLedger ledger(1);
+  std::vector<Packet> queue;
   Packet head;
   head.source = 1;
   head.destination = 9;
   head.size_bytes = 1024;
-  cfd.on_transmit(net, 0, 0, head, 5e-6, queue);
+  enqueue_then_depart(ledger, head, queue);
+  cfd.detect(net, 0, 0, head, 5e-6, ledger, 0);
   EXPECT_TRUE(head.predictive_bit);
   sim.run();
 }
@@ -238,14 +253,212 @@ TEST(Cfd, MaxContendingFlowsRespected) {
     p.size_bytes = 1024;
     backing.push_back(p);
   }
-  std::deque<Packet*> queue;
-  for (Packet& p : backing) queue.push_back(&p);
   Packet head;
   head.source = 20;
   head.destination = 63;
   head.size_bytes = 1024;
-  cfd.on_transmit(net, 0, 0, head, 5e-6, queue);
-  EXPECT_LE(head.contending.size(), 3u);
+  FlowLedger ledger(1);
+  enqueue_then_depart(ledger, head, backing);
+  cfd.detect(net, 0, 0, head, 5e-6, ledger, 0);
+  // Eleven equal shares: the cap bites, and ties keep queue order with the
+  // departing packet's own flow first.
+  ASSERT_EQ(head.contending.size(), 3u);
+  EXPECT_EQ(head.contending[0], (ContendingFlow{20, 63}));
+  EXPECT_EQ(head.contending[1], (ContendingFlow{0, 63}));
+  EXPECT_EQ(head.contending[2], (ContendingFlow{1, 63}));
+}
+
+// ---------------------------------------------------------------------------
+// FlowLedger vs the full output-queue rescan it replaced
+
+struct ReferenceShare {
+  ContendingFlow flow;
+  std::int64_t bytes = 0;
+};
+
+/// The CFD contender selection as a rescan of {head, queue...}: bytes per
+/// flow, stable-sorted largest first. Returns every share (sorted); `out`
+/// gets the first `max_flows`.
+std::vector<ReferenceShare> reference_select(const Packet& head,
+                                             const std::deque<Packet*>& queue,
+                                             int max_flows,
+                                             std::vector<ContendingFlow>& out) {
+  std::vector<ReferenceShare> shares;
+  auto account = [&](const Packet& p) {
+    if (p.is_ack()) return;
+    const ContendingFlow f{p.source, p.destination};
+    for (ReferenceShare& s : shares) {
+      if (s.flow == f) {
+        s.bytes += p.size_bytes;
+        return;
+      }
+    }
+    shares.push_back(ReferenceShare{f, p.size_bytes});
+  };
+  account(head);
+  for (const Packet* p : queue) account(*p);
+
+  std::stable_sort(shares.begin(), shares.end(),
+                   [](const ReferenceShare& a, const ReferenceShare& b) {
+                     return a.bytes > b.bytes;
+                   });
+  out.clear();
+  for (const ReferenceShare& s : shares) {
+    if (static_cast<int>(out.size()) >= max_flows) break;
+    out.push_back(s.flow);
+  }
+  return shares;
+}
+
+/// True when two of the shares that decide a top-`k` pick have equal bytes.
+bool tie_decides(const std::vector<ReferenceShare>& shares, int k) {
+  const std::size_t n =
+      std::min(shares.size(), static_cast<std::size_t>(k) + 1);
+  for (std::size_t i = 1; i < n; ++i) {
+    if (shares[i].bytes == shares[i - 1].bytes) return true;
+  }
+  return false;
+}
+
+TEST(CfdLedger, RandomizedPushPopMatchesQueueRescan) {
+  constexpr int kPorts = 3;
+  for (const int k : {1, 2, 8}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      // Start just below 2^32 so the enqueue sequence wraps mid-run.
+      FlowLedger ledger(kPorts, 0xFFFFFFFFu - 300);
+      std::deque<Packet> cells;  // address-stable packet storage
+      std::vector<Packet*> spare;
+      std::array<std::deque<Packet*>, kPorts> queues;
+      Rng rng(seed * 1000 + static_cast<std::uint64_t>(k));
+      std::vector<ContendingFlow> got, want;
+      int compared = 0, over_k = 0, ties = 0;
+      bool wrapped = false;
+      std::uint32_t last_seq = 0;
+
+      auto depart = [&](int port) {
+        std::deque<Packet*>& q = queues[static_cast<std::size_t>(port)];
+        Packet* head = q.front();
+        q.pop_front();
+        ledger.pop(port, *head);
+        if (!head->is_ack()) {
+          ledger.top(port, *head, k, got);
+          const auto shares = reference_select(*head, q, k, want);
+          ASSERT_EQ(got, want) << "k=" << k << " seed=" << seed
+                               << " after " << compared << " checks";
+          ++compared;
+          if (shares.size() > static_cast<std::size_t>(k)) ++over_k;
+          if (tie_decides(shares, k)) ++ties;
+        }
+        spare.push_back(head);
+      };
+
+      for (int step = 0; step < 6000; ++step) {
+        const int port = static_cast<int>(rng.next_below(kPorts));
+        std::deque<Packet*>& q = queues[static_cast<std::size_t>(port)];
+        // Grow queues early, then hover, so both deep and shallow queues
+        // get popped.
+        const std::uint64_t push_odds = step < 3000 ? 60 : 50;
+        if (q.empty() || rng.next_below(100) < push_odds) {
+          Packet* p;
+          if (spare.empty()) {
+            p = &cells.emplace_back();
+          } else {
+            p = spare.back();
+            spare.pop_back();
+            *p = Packet{};
+          }
+          p->source = static_cast<NodeId>(rng.next_below(12));
+          p->destination = static_cast<NodeId>(20 + rng.next_below(2));
+          p->type = rng.next_below(10) == 0 ? PacketType::kAck
+                                            : PacketType::kData;
+          // Mostly equal sizes so byte ties are common.
+          p->size_bytes = rng.next_below(8) == 0 ? 512 : 1024;
+          q.push_back(p);
+          ledger.push(port, *p);
+          if (!p->is_ack()) {
+            if (p->queue_seq < last_seq) wrapped = true;
+            last_seq = p->queue_seq;
+          }
+        } else {
+          depart(port);
+        }
+      }
+      for (int port = 0; port < kPorts; ++port) {
+        while (!queues[static_cast<std::size_t>(port)].empty()) depart(port);
+      }
+      EXPECT_EQ(ledger.live(), 0u);
+      EXPECT_TRUE(wrapped);
+      EXPECT_GT(compared, 1000);
+      EXPECT_GT(over_k, 100) << "k=" << k;
+      EXPECT_GT(ties, 100) << "k=" << k;
+    }
+  }
+}
+
+/// Runs the real CongestionDetector and checks each of its selections
+/// against a rescan of the raw queue the network hands the monitor.
+class RescanCheckingMonitor final : public RouterMonitor {
+ public:
+  explicit RescanCheckingMonitor(NotificationMode mode) : cfd(mode) {}
+
+  void on_transmit(Network& net, RouterId r, int port, Packet& head,
+                   SimTime wait, const std::deque<Packet*>& queue) override {
+    const std::uint64_t before = cfd.detections();
+    cfd.on_transmit(net, r, port, head, wait, queue);
+    if (cfd.detections() == before) return;
+    const int k = net.config().max_contending_flows;
+    const auto shares = reference_select(head, queue, k, want_);
+    ++detections;
+    if (cfd.last_selection() != want_) ++mismatches;
+    if (shares.size() > static_cast<std::size_t>(k)) ++over_k;
+    if (tie_decides(shares, k)) ++ties;
+  }
+
+  CongestionDetector cfd;
+  std::uint64_t detections = 0, mismatches = 0, over_k = 0, ties = 0;
+
+ private:
+  std::vector<ContendingFlow> want_;
+};
+
+TEST(CfdLedger, HotspotSelectionsMatchQueueRescan) {
+  for (const NotificationMode mode :
+       {NotificationMode::kDestinationBased, NotificationMode::kRouterBased}) {
+    NetConfig cfg;
+    cfg.router_contention_threshold_s = 1e-6;
+    cfg.max_contending_flows = 4;
+    auto* policy = new PrDrbPolicy(
+        DrbConfig{}, PrDrbConfig{.similarity = 0.8, .notification = mode});
+    auto h = Harness::make<Mesh2D>(cfg, policy, 4, 4);
+    RescanCheckingMonitor mon(mode);
+    h.net->set_monitor(&mon);
+    // Every other terminal floods terminal 5: equal 1 KiB packets and a
+    // few multi-packet messages.
+    for (int round = 0; round < 12; ++round) {
+      for (NodeId s = 0; s < 16; ++s) {
+        if (s == 5) continue;
+        h.net->send_message(s, 5, round % 4 == 0 ? 3000 : 1024);
+      }
+    }
+    h.sim.run();
+    const char* name =
+        mode == NotificationMode::kRouterBased ? "router" : "destination";
+    EXPECT_GT(mon.detections, 100u) << name;
+    EXPECT_EQ(mon.mismatches, 0u) << name;
+    EXPECT_GT(mon.over_k, 0u) << name;
+    EXPECT_GT(mon.ties, 0u) << name;
+    EXPECT_EQ(h.net->flow_ledger().live(), 0u) << name;
+  }
+}
+
+TEST(CfdLedger, MonitorMustBeSetBeforeTraffic) {
+  auto h = Harness::make<Mesh2D>(NetConfig{}, new DeterministicPolicy, 4, 4);
+  CongestionDetector cfd;
+  h.net->set_monitor(&cfd);  // idle network: fine
+  h.net->send_message(0, 5, 1024);
+  EXPECT_THROW(h.net->set_monitor(nullptr), std::logic_error);
+  h.sim.run();
+  h.net->set_monitor(nullptr);  // drained again: fine
 }
 
 // ---------------------------------------------------------------------------
@@ -306,6 +519,37 @@ TEST(Allocations, NetworkSteadyStateHopsAreAllocationFree) {
   EXPECT_EQ(h.net->packet_pool().outstanding(), 0u);
 }
 
+TEST(Allocations, CfdDetectionSteadyStateIsAllocationFree) {
+  // The same two-pass drive and per-message bound with the CFD attached,
+  // on a hot spot of 4-packet messages: ledger entries come from recycled
+  // arena chunks and the selection reuses its scratch. Detections outnumber
+  // the bound, so even one allocation per detection would fail it.
+  NetConfig cfg;
+  cfg.router_contention_threshold_s = 1e-7;
+  auto h = Harness::make<Mesh2D>(cfg, new DeterministicPolicy, 4, 4);
+  CongestionDetector cfd(NotificationMode::kDestinationBased);
+  h.net->set_monitor(&cfd);
+  const int kMessages = 400;
+  auto run_pass = [&] {
+    for (int i = 0; i < kMessages; ++i) {
+      // Every terminal but 5 sends to 5.
+      const NodeId src = static_cast<NodeId>(i % 15 < 5 ? i % 15 : i % 15 + 1);
+      h.net->send_message(src, 5, 4 * 1024);
+    }
+    h.sim.run();
+  };
+  run_pass();  // warm-up: pool, ledger arena and scratch reach capacity
+
+  const std::uint64_t detections_before = cfd.detections();
+  test::AllocationScope scope;
+  run_pass();
+  const std::uint64_t detections = cfd.detections() - detections_before;
+  ASSERT_GT(detections, static_cast<std::uint64_t>(4 * kMessages));
+  EXPECT_LT(scope.count(), static_cast<std::uint64_t>(4 * kMessages))
+      << "detections in pass: " << detections;
+  EXPECT_EQ(h.net->flow_ledger().live(), 0u);
+}
+
 TEST(Cfd, HeaderTruncationIsCountedWhenTheCapBites) {
   // A header already at max_contending_flows drops further (distinct)
   // flows; every drop must show up in both the CFD stat and the network's
@@ -338,15 +582,15 @@ TEST(Cfd, HeaderTruncationIsCountedWhenTheCapBites) {
 
   auto run = [&](NodeId first_src) {
     std::vector<Packet> backing = congested_queue(first_src);
-    std::deque<Packet*> queue;
-    for (Packet& p : backing) queue.push_back(&p);
-    cfd.on_transmit(net, 0, 0, head, 5e-6, queue);
+    FlowLedger ledger(1);
+    enqueue_then_depart(ledger, head, backing);
+    cfd.detect(net, 0, 0, head, 5e-6, ledger, 0);
   };
   run(0);  // fills the header to the cap of 2
   EXPECT_EQ(head.contending.size(), 2u);
   EXPECT_EQ(cfd.truncated_flows(), 0u);
   run(30);  // new flows, zero free slots: the non-duplicate one is dropped
-  // select_contenders picks 2 flows: the head's own (already in the header,
+  // The selection picks 2 flows: the head's own (already in the header,
   // deduplicated) and one new queue flow — which the full header drops.
   EXPECT_EQ(head.contending.size(), 2u);
   EXPECT_EQ(cfd.truncated_flows(), 1u);

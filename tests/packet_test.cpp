@@ -84,6 +84,14 @@ TEST(Packet, DescribeMentionsEndpoints) {
   EXPECT_NE(d.find("via 3"), std::string::npos);
 }
 
+TEST(Packet, LedgerScratchFieldsFitInPadding) {
+  // queue_seq and next_in_flow sit in padding freed by grouping the
+  // one-byte fields; every pooled packet cell would grow otherwise.
+  if constexpr (sizeof(void*) == 8) {
+    EXPECT_EQ(sizeof(Packet), 248u);
+  }
+}
+
 TEST(ContendingFlow, OrderingAndEquality) {
   const ContendingFlow a{1, 2};
   const ContendingFlow b{1, 3};
